@@ -12,7 +12,8 @@
 //   - Serial: the original Figure 1 loop (the correctness reference).
 //   - Tiled: the serial tiled algorithm on the paper's block-sequential
 //     "new data layout", using the two-stage memory-block procedure with
-//     4×4 computing blocks.
+//     4×4 computing blocks — the Parallel engine's block executor run on
+//     one worker with the resolved stage-1 kernel.
 //   - Parallel: the tier-2 task-queue procedure on real goroutines —
 //     the fastest way to actually solve big instances on the host.
 //   - Cell: the full CellNPDP algorithm executed on a simulated IBM QS20

@@ -13,6 +13,7 @@ import (
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
+	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/pipeline"
 	"cellnpdp/internal/sched"
 	"cellnpdp/internal/simd"
@@ -272,7 +273,7 @@ func BenchmarkFig10b_CBKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tt := tri.ToTiled(src, 88)
-		if _, err := npdp.SolveTiled(tt); err != nil {
+		if _, err := npdp.SolveParallel(tt, npdp.ParallelOptions{Workers: 1, Stage1: perfmodel.KernelScalar}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -303,7 +304,7 @@ func BenchmarkFig11b_CBKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tt := tri.ToTiled(src, 64)
-		if _, err := npdp.SolveTiled(tt); err != nil {
+		if _, err := npdp.SolveParallel(tt, npdp.ParallelOptions{Workers: 1, Stage1: perfmodel.KernelScalar}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -443,7 +444,7 @@ func BenchmarkAblationCB_Kernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tt := tri.ToTiled(src, 88)
-		if _, err := npdp.SolveTiled(tt); err != nil {
+		if _, err := npdp.SolveParallel(tt, npdp.ParallelOptions{Workers: 1, Stage1: perfmodel.KernelScalar}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -612,7 +613,7 @@ func benchEngineConfig(b *testing.B, opts npdp.ParallelOptions) {
 }
 
 func BenchmarkAblationEngine_Seed(b *testing.B) {
-	benchEngineConfig(b, npdp.ParallelOptions{Workers: 8, MutexPool: true, NoPanelKernel: true})
+	benchEngineConfig(b, npdp.ParallelOptions{Workers: 8, MutexPool: true, Stage1: perfmodel.KernelScalar})
 }
 
 func BenchmarkAblationEngine_PR1(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/npdp"
+	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/pipeline"
 	"cellnpdp/internal/simd"
 	"cellnpdp/internal/stats"
@@ -67,7 +68,9 @@ func Ablations(cfg Config) (*stats.Table, error) {
 
 	// 2. Computing-block kernel vs scalar loops (measured).
 	t2a := tri.ToTiled(src, ndlTile)
-	tKern := timeIt(func() { _, err = npdp.SolveTiled(t2a) })
+	tKern := timeIt(func() {
+		_, err = npdp.SolveParallel(t2a, npdp.ParallelOptions{Workers: 1, Stage1: perfmodel.KernelScalar})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +155,7 @@ func Ablations(cfg Config) (*stats.Table, error) {
 	}
 	t8b := tri.ToTiled(src, ndlTile)
 	tCBStep := timeIt(func() {
-		_, err = npdp.SolveParallel(t8b, npdp.ParallelOptions{Workers: 1, NoPanelKernel: true})
+		_, err = npdp.SolveParallel(t8b, npdp.ParallelOptions{Workers: 1, Stage1: perfmodel.KernelScalar})
 	})
 	if err != nil {
 		return nil, err

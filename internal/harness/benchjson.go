@@ -83,8 +83,8 @@ type benchEngine struct {
 
 func benchEngines(workers int) []benchEngine {
 	return []benchEngine{
-		{"seed", npdp.ParallelOptions{Workers: workers, MutexPool: true, NoPanelKernel: true}},
-		{"lockfree", npdp.ParallelOptions{Workers: workers, NoPanelKernel: true}},
+		{"seed", npdp.ParallelOptions{Workers: workers, MutexPool: true, Stage1: perfmodel.KernelScalar}},
+		{"lockfree", npdp.ParallelOptions{Workers: workers, Stage1: perfmodel.KernelScalar}},
 		{"panel", npdp.ParallelOptions{Workers: workers, MutexPool: true}},
 		{"pr1", npdp.ParallelOptions{Workers: workers}},
 	}

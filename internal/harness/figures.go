@@ -7,6 +7,7 @@ import (
 	"cellnpdp/internal/cachesim"
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/npdp"
+	"cellnpdp/internal/perfmodel"
 	"cellnpdp/internal/stats"
 	"cellnpdp/internal/tri"
 )
@@ -152,7 +153,9 @@ func breakdownCPU[E interface{ ~float32 | ~float64 }](cfg Config, build func(int
 			return nil, err
 		}
 		ttKernel := tri.ToTiled(src, tile)
-		tKern := timeIt(func() { _, err = npdp.SolveTiled(ttKernel) })
+		tKern := timeIt(func() {
+			_, err = npdp.SolveParallel(ttKernel, npdp.ParallelOptions{Workers: 1, Stage1: perfmodel.KernelScalar})
+		})
 		if err != nil {
 			return nil, err
 		}

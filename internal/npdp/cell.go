@@ -3,7 +3,6 @@ package npdp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"cellnpdp/internal/cellsim"
 	"cellnpdp/internal/kernel"
@@ -169,7 +168,9 @@ type cellEngine[E semiring.Elem] struct {
 	machine   *cellsim.Machine
 	opts      CellOptions
 	stats     kernel.Stats
-	heal      *healer[E]       // nil unless sealing is on and data is present
+	// heal recomputes healed cones after the DES on the block executor
+	// with one worker; nil unless sealing is on and data is present.
+	heal      *executor[E]
 	workerBuf []*speBuffers[E] // per-worker buffer sets, allocated on first task
 	// mul is the functional stage-1 kernel, resolved once per solve by
 	// SolveCellCtx — hoisted out of computeMB's //npdp:dispatch loop so
@@ -397,7 +398,8 @@ func (e *cellEngine[E]) run() (CellResult, error) {
 		return CellResult{}, err
 	}
 	if (e.opts.Seal || e.opts.Heal) && e.data != nil {
-		e.heal = newHealer(graph, e.data, e.opts.Inject, 0, e.opts.HealStats, nil)
+		e.heal = newExecutor[E](graph, residentStore[E]{e.data}, e.mul, 1)
+		e.heal.seal = newSealer(graph, e.data, e.opts.Inject, 0, e.opts.HealStats, nil)
 	}
 	// Cost-aware urgencies: a task's priority is the most expensive
 	// remaining dependence chain hanging off it (estimated from the
@@ -432,58 +434,35 @@ func (e *cellEngine[E]) run() (CellResult, error) {
 	}
 
 	e.workerBuf = make([]*speBuffers[E], e.opts.Workers)
-	des, err := sched.RunDESWithPriority(graph, e.opts.Workers, e.machine.Config.DispatchOverhead, prio,
-		func(worker int, task sched.Task, start float64) (float64, error) {
-			// Cancellation at task-dispatch granularity, mirroring the
-			// goroutine pool: the DES stops issuing tasks mid-solve.
-			if err := e.ctx.Err(); err != nil {
-				return 0, err
+	var des sched.DESResult
+	runDES := func() error {
+		var err error
+		des, err = sched.RunDESWithPriority(graph, e.opts.Workers, e.machine.Config.DispatchOverhead, prio, e.dispatch)
+		for _, bufs := range e.workerBuf {
+			if bufs != nil {
+				bufs.free()
 			}
-			spe := e.machine.SPEs[worker]
-			if start < spe.Clock {
-				return 0, fmt.Errorf("npdp: SPE %d dispatched at %g before its clock %g", worker, start, spe.Clock)
-			}
-			spe.Clock = start
-			bufs := e.workerBuf[worker]
-			if bufs == nil {
-				var err error
-				bufs, err = e.allocBuffers(spe)
-				if err != nil {
-					return 0, err
-				}
-				e.workerBuf[worker] = bufs
-			}
-			for _, mb := range task.MemoryBlockOrder() {
-				if err := e.computeMB(spe, bufs, mb[0], mb[1]); err != nil {
-					return 0, err
-				}
-			}
-			before := spe.Clock
-			spe.WaitAll()
-			if e.heal != nil {
-				// Write-backs drained: digest, apply any planned silent
-				// flip, and seal. The DES runs on one goroutine, so the
-				// ordering needs no synchronization here.
-				e.heal.taskDone(task)
-				e.heal.sealTask(task, 0)
-			}
-			e.opts.Trace.Add(spe.ID, trace.KindDMAWait, before, spe.Clock, "drain")
-			e.opts.Trace.Add(spe.ID, trace.KindTask, start, spe.Clock,
-				fmt.Sprintf("(%d,%d)-(%d,%d)", task.RowLo, task.ColLo, task.RowHi-1, task.ColHi-1))
-			return spe.Clock, nil
-		})
-	for _, bufs := range e.workerBuf {
-		if bufs != nil {
-			bufs.free()
 		}
+		return err
+	}
+	if e.heal == nil {
+		err = runDES()
+	} else {
+		// The DES is round 0 of the heal ladder; recovery rounds run on
+		// the block executor, functionally and outside the DES — the
+		// modeled time and DMA statistics deliberately exclude recovery
+		// work, which on real hardware would run at PPE convenience
+		// after the timed solve. The recompute work counts into Stats.
+		err = e.heal.solve(func(round int, completed []bool) error {
+			if round == 0 {
+				return runDES()
+			}
+			return e.heal.run(e.ctx, round, completed)
+		}, nil, e.heal.seal.policy(e.opts.Heal, e.opts.HealAttempts))
+		e.stats.Add(e.heal.total())
 	}
 	if err != nil {
 		return CellResult{}, err
-	}
-	if e.heal != nil {
-		if herr := e.healLoop(graph); herr != nil {
-			return CellResult{}, herr
-		}
 	}
 	return CellResult{
 		Seconds: des.Makespan,
@@ -493,64 +472,47 @@ func (e *cellEngine[E]) run() (CellResult, error) {
 	}, nil
 }
 
-// healLoop is the cell engine's post-solve escalation ladder: audit →
-// poisoned-cone recompute (bounded rounds) → pristine-restart fallback →
-// *resilience.CorruptionError. Recovery is functional and serial —
-// tasks recompute in wavefront order (Bj−Bi ascending, so every
-// dependence is strictly earlier) with the same MulMinPlus/Stage2
-// kernels the SPE procedure ran, so a healed table is bit-identical to
-// a clean solve. The recompute work counts into Stats but not into the
-// modeled Seconds or DMA traffic.
-func (e *cellEngine[E]) healLoop(graph *sched.Graph) error {
-	h := e.heal
-	healAttempts := 0
-	if e.opts.Heal {
-		healAttempts = e.opts.HealAttempts
-		if healAttempts <= 0 {
-			healAttempts = DefaultHealAttempts
+// dispatch is the SPE procedure the DES issues each task to: computeMB
+// over the task's memory blocks on the worker's SPE, then the write-back
+// drain.
+func (e *cellEngine[E]) dispatch(worker int, task sched.Task, start float64) (float64, error) {
+	// Cancellation at task-dispatch granularity, mirroring the
+	// goroutine pool: the DES stops issuing tasks mid-solve.
+	if err := e.ctx.Err(); err != nil {
+		return 0, err
+	}
+	spe := e.machine.SPEs[worker]
+	if start < spe.Clock {
+		return 0, fmt.Errorf("npdp: SPE %d dispatched at %g before its clock %g", worker, start, spe.Clock)
+	}
+	spe.Clock = start
+	bufs := e.workerBuf[worker]
+	if bufs == nil {
+		var err error
+		bufs, err = e.allocBuffers(spe)
+		if err != nil {
+			return 0, err
+		}
+		e.workerBuf[worker] = bufs
+	}
+	for _, mb := range task.MemoryBlockOrder() {
+		if err := e.computeMB(spe, bufs, mb[0], mb[1]); err != nil {
+			return 0, err
 		}
 	}
-	rounds, fellBack := 0, false
-	// runIdx starts at 1: the DES run sealed at attempt 0, so each
-	// recompute round re-rolls fresh fault plans.
-	for runIdx := 1; ; runIdx++ {
-		bad := h.audit()
-		if len(bad) == 0 {
-			return nil
-		}
-		h.stats.CorruptBlocks += len(bad)
-		var ids []int
-		switch {
-		case rounds < healAttempts:
-			rounds++
-			ids = h.heal(bad)
-		case e.opts.Heal && !fellBack:
-			fellBack = true
-			h.restoreAll()
-			ids = make([]int, len(graph.Tasks))
-			for i := range ids {
-				ids[i] = i
-			}
-		default:
-			return h.corruption(bad, rounds)
-		}
-		sort.Slice(ids, func(x, y int) bool {
-			dx := graph.Tasks[ids[x]].Bj - graph.Tasks[ids[x]].Bi
-			dy := graph.Tasks[ids[y]].Bj - graph.Tasks[ids[y]].Bi
-			if dx != dy {
-				return dx < dy
-			}
-			return ids[x] < ids[y]
-		})
-		for _, id := range ids {
-			task := graph.Tasks[id]
-			for _, mb := range task.MemoryBlockOrder() {
-				e.stats.Add(computeMemoryBlockCBStep(e.data, mb[0], mb[1]))
-			}
-			h.taskDone(task)
-			h.sealTask(task, runIdx)
-		}
+	before := spe.Clock
+	spe.WaitAll()
+	if e.heal != nil {
+		// Write-backs drained: digest, apply any planned silent flip,
+		// and seal. The DES runs on one goroutine, so the ordering needs
+		// no synchronization here.
+		e.heal.taskDone(task)
+		e.heal.seal.sealTask(task, 0)
 	}
+	e.opts.Trace.Add(spe.ID, trace.KindDMAWait, before, spe.Clock, "drain")
+	e.opts.Trace.Add(spe.ID, trace.KindTask, start, spe.Clock,
+		fmt.Sprintf("(%d,%d)-(%d,%d)", task.RowLo, task.ColLo, task.RowHi-1, task.ColHi-1))
+	return spe.Clock, nil
 }
 
 // SolveCell runs CellNPDP functionally on the simulated Cell: the DP

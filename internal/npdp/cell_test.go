@@ -322,42 +322,6 @@ func TestCellTraceRecordsActivity(t *testing.T) {
 	}
 }
 
-func TestCellConcurrentMatchesSerial(t *testing.T) {
-	for _, n := range []int{8, 64, 150, 256} {
-		for _, workers := range []int{1, 4, 16} {
-			src := workload.Chain[float32](n, int64(n*3+workers))
-			ref := solveRef(src)
-			tt := tri.ToTiled(src, 16)
-			st, err := SolveCellConcurrent(context.Background(), tt, workers)
-			if err != nil {
-				t.Fatalf("n=%d w=%d: %v", n, workers, err)
-			}
-			if !tri.Equal[float32](ref, tri.ToRowMajor(tt)) {
-				t.Fatalf("n=%d w=%d: mailbox-mode result differs from serial", n, workers)
-			}
-			tt2 := tri.ToTiled(src, 16)
-			st2, err := SolveParallel(tt2, ParallelOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st != st2 {
-				t.Errorf("n=%d: mailbox stats %+v != task-queue %+v", n, st, st2)
-			}
-		}
-	}
-}
-
-func TestCellConcurrentRejectsBad(t *testing.T) {
-	tt := tri.ToTiled(workload.Chain[float32](16, 1), 8)
-	if _, err := SolveCellConcurrent(context.Background(), tt, 0); err == nil {
-		t.Error("0 workers accepted")
-	}
-	bad := tri.ToTiled(workload.Chain[float32](16, 1), 6)
-	if _, err := SolveCellConcurrent(context.Background(), bad, 2); err == nil {
-		t.Error("bad tile accepted")
-	}
-}
-
 func TestRowMajorDMAAblation(t *testing.T) {
 	// The prior tiling's per-row DMA must cost more commands and more
 	// modeled time than the NDL's whole-block transfers, and must still

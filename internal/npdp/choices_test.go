@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tri"
 	"cellnpdp/internal/workload"
 )
@@ -108,58 +107,5 @@ func TestChoicesTreeRejectsBadCell(t *testing.T) {
 	}
 	if _, err := ch.Tree(0, 8); err == nil {
 		t.Error("out-of-range cell accepted")
-	}
-}
-
-func TestGenericSemiringMatchesSpecialized(t *testing.T) {
-	const n = 50
-	src := workload.Dense[float32](n, 4)
-	gen := src.Clone()
-	SolveSerialSemiring[float32](gen, MinPlusSemiring[float32]{})
-	spec := src.Clone()
-	SolveSerial(spec)
-	if !tri.Equal[float32](gen, spec) {
-		t.Error("generic min-plus differs from specialized solver")
-	}
-}
-
-func TestMaxPlusFindsLongestDerivation(t *testing.T) {
-	// With max-plus, composing more spans can only help when all values
-	// are positive: the optimum of [0,n-1] must use every point.
-	const n = 12
-	m := tri.NewRowMajor[float32](n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 0)
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, 1) // every span available at cost 1
-		}
-	}
-	SolveSerialSemiring[float32](tri.Table[float32](m), MaxPlus[float32]{})
-	// Longest derivation: n-1 adjacent spans of value 1 each.
-	if got := m.At(0, n-1); got != float32(n-1) {
-		t.Errorf("max-plus optimum = %v, want %v", got, n-1)
-	}
-}
-
-func TestMinMaxBottleneck(t *testing.T) {
-	// Bottleneck: the best composition minimizes the largest component.
-	const n = 5
-	m := tri.NewRowMajor[float32](n)
-	inf := semiring.Inf[float32]()
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 0)
-		for j := i + 1; j < n; j++ {
-			m.Set(i, j, inf)
-		}
-	}
-	// Direct [0,4] costs 10; the route through adjacent spans has max 3.
-	m.Set(0, 4, 10)
-	m.Set(0, 1, 3)
-	m.Set(1, 2, 1)
-	m.Set(2, 3, 2)
-	m.Set(3, 4, 1)
-	SolveSerialSemiring[float32](tri.Table[float32](m), MinMax[float32]{})
-	if got := m.At(0, 4); got != 3 {
-		t.Errorf("bottleneck = %v, want 3", got)
 	}
 }

@@ -4,12 +4,20 @@
 //     triangular layout — the reference every other engine must match
 //     bit for bit.
 //   - SolveTiled: the serial tiled algorithm of Figure 4(b) on the new
-//     data layout, using the two-stage memory-block procedure.
+//     data layout — the two-stage memory-block procedure on the
+//     resolved stage-1 kernel, run by the block executor on one worker.
 //   - SolveParallel (parallel.go): the tier-2 parallel procedure run on
 //     real goroutine workers with the task-queue model of Section IV-B.
+//   - SolvePagedCtx (paged.go): the same procedure out of core, over the
+//     crash-consistent block pager.
 //   - SolveCell (cell.go): the full CellNPDP algorithm of Figure 8
 //     executed on the simulated Cell processor (internal/cellsim),
 //     producing modeled QS20 time plus DMA and instruction statistics.
+//
+// Tiled, Parallel and Paged share one block executor (exec.go): one
+// two-stage block procedure over a BlockStore, one task-pool runner, and one
+// heal ladder (heal.go), which the Cell engine's post-DES recompute
+// also runs.
 package npdp
 
 import (
@@ -62,42 +70,21 @@ func SolveSerialCtx[E semiring.Elem](ctx context.Context, m *tri.RowMajor[E]) (i
 }
 
 // SolveTiled runs the tiled flowchart (Figure 4(b)) serially on the new
-// data layout, in place: memory blocks in column order, each computed
-// with stage 1 (middle-tile min-plus products, no inner dependences) and
-// stage 2 (inner dependences via computing blocks). The tile side must be
-// a positive multiple of kernel.CB.
+// data layout, in place: memory blocks are computed one at a time with
+// stage 1 (middle-tile min-plus products on the solve's resolved stage-1
+// kernel, no inner dependences) and stage 2 (inner dependences via
+// computing blocks). The tile side must be a positive multiple of
+// kernel.CB.
 func SolveTiled[E semiring.Elem](t *tri.Tiled[E]) (kernel.Stats, error) {
 	return SolveTiledCtx(context.Background(), t)
 }
 
 // SolveTiledCtx is SolveTiled with cancellation checked once per memory
-// block — the same granularity the parallel pool checks at task
-// dispatch. On cancellation the table is left partially solved.
+// block. It is the parallel engine's block executor on one worker, so
+// its results and kernel.Stats are identical to SolveParallel's. On
+// cancellation the table is left partially solved.
 func SolveTiledCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E]) (kernel.Stats, error) {
-	if err := kernel.CheckTile(t.Tile()); err != nil {
-		return kernel.Stats{}, err
-	}
-	var st kernel.Stats
-	m := t.Blocks()
-	ts := t.Tile()
-	for bj := 0; bj < m; bj++ {
-		//npdp:dispatch
-		for bi := bj; bi >= 0; bi-- {
-			if err := ctx.Err(); err != nil {
-				return st, err
-			}
-			if bi == bj {
-				st.Add(kernel.Stage2Diag(t.Block(bj, bj), ts))
-				continue
-			}
-			d := t.Block(bi, bj)
-			for k := bi + 1; k < bj; k++ {
-				st.Add(kernel.MulMinPlus(d, t.Block(bi, k), t.Block(k, bj), ts))
-			}
-			st.Add(kernel.Stage2OffDiag(d, t.Block(bi, bi), t.Block(bj, bj), ts))
-		}
-	}
-	return st, nil
+	return SolveParallelCtx(ctx, t, ParallelOptions{Workers: 1})
 }
 
 // Precision identifies the element width of a run, following the paper's

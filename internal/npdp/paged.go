@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/pager"
@@ -34,8 +33,9 @@ type PagedOptions struct {
 }
 
 // SolvePagedCtx runs the tier-2 parallel procedure out of core: the
-// table lives in the pager's spill file and only the working set is
-// resident. It is the host-side analogue of the paper's SPE discipline —
+// block executor with the pager as its BlockStore, so the table lives in
+// the pager's spill file and only the working set is resident. It is the
+// host-side analogue of the paper's SPE discipline —
 // Acquire/Release windows are the local-store residency of a block,
 // Prefetch of the next stage-1 operand pair is the double-buffered DMA
 // that overlaps transfer with compute, and Complete seals a block's
@@ -46,13 +46,15 @@ type PagedOptions struct {
 // the heal path demotes a corrupt block's dependence cone, and block
 // granularity keeps that cone minimal.
 //
-// Robustness ladder: a spilled final block that pages in corrupt (torn
-// write, bit flip, read fault) surfaces as *pager.ErrPageCorrupt; the
-// solve demotes the block's transitive successor cone to pristine and
-// recomputes it, bounded by HealAttempts rounds. A corrupt pristine
-// block has no earlier version and fails the solve. ENOSPC degradation
-// and the hard-ceiling *pager.ErrSpillSpace happen inside the pager and
-// surface here unhealed (recomputing cannot create disk space).
+// Robustness ladder (heal.go's, with detection by page-in and by
+// Pager.Verify after a clean round): a spilled final block that pages
+// in corrupt (torn write, bit flip, read fault) surfaces as
+// *pager.ErrPageCorrupt; the solve demotes the block's
+// transitive successor cone to pristine and recomputes it, bounded by
+// HealAttempts rounds. A corrupt pristine block has no earlier version
+// and fails the solve. ENOSPC degradation and the hard-ceiling
+// *pager.ErrSpillSpace happen inside the pager and surface here unhealed
+// (recomputing cannot create disk space).
 //
 // On success every block is final; the caller materializes the solved
 // table with p.Materialize. Resume after SIGKILL is bit-identical to an
@@ -79,13 +81,9 @@ func SolvePagedCtx[E semiring.Elem](ctx context.Context, p *pager.Pager[E], opts
 		logf = func(string, ...any) {}
 	}
 
-	// done mirrors the pool's completion state across heal rounds; the
-	// mutex orders concurrent OnTaskDone calls with the heal path's reads
-	// (which only run between rounds, but the bitmap copy keeps the
-	// discipline uniform).
-	done := make([]bool, len(graph.Tasks))
-	var doneMu sync.Mutex
+	var completed []bool
 	if opts.Resume {
+		completed = make([]bool, len(graph.Tasks))
 		recovered := 0
 		for id, task := range graph.Tasks {
 			final := true
@@ -96,7 +94,7 @@ func SolvePagedCtx[E semiring.Elem](ctx context.Context, p *pager.Pager[E], opts
 				}
 			}
 			if final {
-				done[id] = true
+				completed[id] = true
 				recovered++
 			}
 		}
@@ -105,135 +103,37 @@ func SolvePagedCtx[E semiring.Elem](ctx context.Context, p *pager.Pager[E], opts
 		}
 	}
 
-	perWorker := make([]paddedStats, opts.Workers)
-	exec := func(worker int, task sched.Task) error {
-		var local kernel.Stats
-		for _, mb := range task.MemoryBlockOrder() {
-			st, err := computePagedBlock(p, mb[0], mb[1], mul)
-			if err != nil {
-				return &resilience.TaskError{
-					TaskID: task.ID, Bi: task.Bi, Bj: task.Bj,
-					Worker: worker, Attempts: 1, Err: err,
-				}
+	var (
+		pe    *pager.ErrPageCorrupt
+		stats resilience.HealStats
+	)
+	x := newExecutor[E](graph, p, mul, opts.Workers)
+	err = x.solve(func(round int, completed []bool) error {
+		return x.run(ctx, round, completed)
+	}, completed, healPolicy{
+		attempts: healRounds(true, opts.HealAttempts),
+		detect: func(err error) ([][2]int, error) {
+			if err == nil {
+				// A clean round still owes the final slots it never read back.
+				err = p.Verify()
 			}
-			local.Add(st)
-		}
-		perWorker[worker].Stats.Add(local)
-		return nil
-	}
-
-	healAttempts := opts.HealAttempts
-	if healAttempts <= 0 {
-		healAttempts = DefaultHealAttempts
-	}
-	heals := 0
-	for {
-		doneMu.Lock()
-		completed := append([]bool(nil), done...)
-		doneMu.Unlock()
-		err = sched.RunPoolCtx(ctx, graph, opts.Workers, sched.PoolRunOptions{
-			Completed: completed,
-			OnTaskDone: func(task sched.Task) {
-				doneMu.Lock()
-				done[task.ID] = true
-				doneMu.Unlock()
-			},
-		}, exec)
-		if err == nil {
-			break
-		}
-		var pe *pager.ErrPageCorrupt
-		if !errors.As(err, &pe) {
-			break // cancellation, spill-space exhaustion, I/O setup failure
-		}
-		if pe.Pristine {
-			// No earlier version to fall back to: the input itself is gone.
-			err = fmt.Errorf("npdp: paged solve unrecoverable: %w", pe)
-			break
-		}
-		if heals >= healAttempts {
-			err = fmt.Errorf("npdp: paged solve gave up after %d heal rounds: %w", heals, pe)
-			break
-		}
-		heals++
-		seed, ok := graph.TaskID(pe.Bi, pe.Bj)
-		if !ok {
-			err = fmt.Errorf("npdp: corrupt block (%d,%d) has no task: %w", pe.Bi, pe.Bj, pe)
-			break
-		}
-		cone := graph.Cone([]int{seed})
-		doneMu.Lock()
-		for _, id := range cone {
-			for _, mb := range graph.Tasks[id].MemoryBlockOrder() {
-				p.Demote(mb[0], mb[1])
+			if !errors.As(err, &pe) {
+				return nil, err // success, cancellation, spill-space exhaustion, I/O setup failure
 			}
-			done[id] = false
-		}
-		doneMu.Unlock()
-		logf("npdp: paged heal round %d: block (%d,%d) corrupt on page-in, demoted %d-task cone to pristine", heals, pe.Bi, pe.Bj, len(cone))
-	}
-
-	var st kernel.Stats
-	for i := range perWorker {
-		st.Add(perWorker[i].Stats)
-	}
-	return st, err
-}
-
-// computePagedBlock is computeMemoryBlock against the pager: every
-// operand is pinned for exactly its use window, and the next stage-1
-// pair is prefetched while the current product runs — the cellsim
-// double-buffer, with the page cache standing in for the second LS
-// buffer. The destination block stays pinned for the whole task and is
-// sealed final (CRC32C) before the pin drops, so eviction can never see
-// a half-computed block.
-func computePagedBlock[E semiring.Elem](p *pager.Pager[E], bi, bj int, mul Stage1Func[E]) (kernel.Stats, error) {
-	ts := p.Tile()
-	var st kernel.Stats
-	d, err := p.Acquire(bi, bj)
-	if err != nil {
-		return st, err
-	}
-	defer p.Release(bi, bj)
-	if bi == bj {
-		st.Add(kernel.Stage2Diag(d, ts))
-	} else {
-		for k := bi + 1; k < bj; k++ {
-			if k+1 < bj {
-				p.Prefetch(bi, k+1)
-				p.Prefetch(k+1, bj)
-			} else {
-				p.Prefetch(bi, bi)
-				p.Prefetch(bj, bj)
+			if pe.Pristine {
+				// No earlier version to fall back to: the input itself is gone.
+				return nil, fmt.Errorf("npdp: paged solve unrecoverable: %w", pe)
 			}
-			a, err := p.Acquire(bi, k)
-			if err != nil {
-				return st, err
-			}
-			b, err := p.Acquire(k, bj)
-			if err != nil {
-				p.Release(bi, k)
-				return st, err
-			}
-			st.Add(mul(d, a, b, ts))
-			p.Release(bi, k)
-			p.Release(k, bj)
-		}
-		aa, err := p.Acquire(bi, bi)
-		if err != nil {
-			return st, err
-		}
-		bb, err := p.Acquire(bj, bj)
-		if err != nil {
-			p.Release(bi, bi)
-			return st, err
-		}
-		st.Add(kernel.Stage2OffDiag(d, aa, bb, ts))
-		p.Release(bi, bi)
-		p.Release(bj, bj)
-	}
-	if err := p.Complete(bi, bj); err != nil {
-		return st, err
-	}
-	return st, nil
+			return [][2]int{{pe.Bi, pe.Bj}}, err
+		},
+		restore: p.Demote,
+		giveUp: func(_ [][2]int, rounds int) error {
+			return fmt.Errorf("npdp: paged solve gave up after %d heal rounds: %w", rounds, pe)
+		},
+		reset: func(cone []int) {
+			logf("npdp: paged heal round %d: block (%d,%d) corrupt on page-in, demoted %d-task cone to pristine", stats.HealRounds, pe.Bi, pe.Bj, len(cone))
+		},
+		stats: &stats,
+	})
+	return x.total(), err
 }

@@ -152,7 +152,7 @@ func TestPagedResumeAfterSimulatedKill(t *testing.T) {
 	donePartial := 0
 	for d := 0; d < m && donePartial < total/3; d++ {
 		for bi := 0; bi+d < m && donePartial < total/3; bi++ {
-			if _, err := computePagedBlock(p, bi, bi+d, mul); err != nil {
+			if _, err := execBlock[float32](p, bi, bi+d, mul); err != nil {
 				t.Fatal(err)
 			}
 			donePartial++

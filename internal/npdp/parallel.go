@@ -2,10 +2,8 @@ package npdp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"unsafe"
 
 	"cellnpdp/internal/kernel"
 	"cellnpdp/internal/perfmodel"
@@ -33,17 +31,12 @@ type ParallelOptions struct {
 	// (sched.RunPoolLocked) instead of the lock-free one — the
 	// BenchmarkAblationLockfree baseline.
 	MutexPool bool
-	// NoPanelKernel computes stage 1 with the 4×4-step MulMinPlus
-	// reference instead of the register-blocked panel kernel — the
-	// BenchmarkAblationPanel baseline.
-	NoPanelKernel bool
 	// Stage1 overrides stage-1 kernel selection. The zero value
 	// (perfmodel.KernelAuto) consults the Section V calibration via
 	// perfmodel.PickKernel once per solve; explicit KernelScalar /
 	// KernelPanel / KernelVector pin a kernel for ablations.
 	// KernelFourRussians is rejected (lattice DPs go through
-	// zuker.MaxPairs, not the min-plus engines). Ignored under
-	// NoPanelKernel, which predates this knob and implies KernelScalar.
+	// zuker.MaxPairs, not the min-plus engines).
 	Stage1 perfmodel.Kernel
 	// Retry governs per-task retries of transient failures. Retrying a
 	// memory-block task in place is safe because every relaxation is an
@@ -94,51 +87,6 @@ type ParallelOptions struct {
 	AuditEvery int
 	// HealStats, when non-nil, receives the sealing layer's counters.
 	HealStats *resilience.HealStats
-}
-
-// computeMemoryBlock runs the two-stage SPE procedure for memory block
-// (bi, bj) directly on the shared tiled table, with stage 1 on the
-// solve's selected kernel (resolved once by ResolveStage1; the per-block
-// loop only ever calls through mul). All dependence blocks are finished
-// before this runs (guaranteed by the task graph), so concurrent tasks
-// only ever read them.
-func computeMemoryBlock[E semiring.Elem](t *tri.Tiled[E], bi, bj int, mul Stage1Func[E]) kernel.Stats {
-	ts := t.Tile()
-	if bi == bj {
-		return kernel.Stage2Diag(t.Block(bj, bj), ts)
-	}
-	var st kernel.Stats
-	d := t.Block(bi, bj)
-	for k := bi + 1; k < bj; k++ {
-		st.Add(mul(d, t.Block(bi, k), t.Block(k, bj), ts))
-	}
-	st.Add(kernel.Stage2OffDiag(d, t.Block(bi, bi), t.Block(bj, bj), ts))
-	return st
-}
-
-// computeMemoryBlockCBStep is computeMemoryBlock with stage 1 on the 4×4
-// CB-step reference kernel — the pre-panel seed hot path, kept for the
-// panel ablation.
-func computeMemoryBlockCBStep[E semiring.Elem](t *tri.Tiled[E], bi, bj int) kernel.Stats {
-	ts := t.Tile()
-	if bi == bj {
-		return kernel.Stage2Diag(t.Block(bj, bj), ts)
-	}
-	var st kernel.Stats
-	d := t.Block(bi, bj)
-	for k := bi + 1; k < bj; k++ {
-		st.Add(kernel.MulMinPlus(d, t.Block(bi, k), t.Block(k, bj), ts))
-	}
-	st.Add(kernel.Stage2OffDiag(d, t.Block(bi, bi), t.Block(bj, bj), ts))
-	return st
-}
-
-// paddedStats is one worker's kernel.Stats padded out to two cache lines
-// so neighboring workers' accumulators never share a line (128 bytes also
-// clears the adjacent-line prefetcher's pairing).
-type paddedStats struct {
-	kernel.Stats
-	_ [128 - unsafe.Sizeof(kernel.Stats{})]byte
 }
 
 // SolveParallel runs the tier-2 parallel procedure (Section IV-B) on real
@@ -199,18 +147,11 @@ func (c *parallelCheckpointer[E]) save() {
 	}
 }
 
-// reset marks tasks incomplete again after a heal round restored their
-// blocks (nil ids resets everything), so later snapshots never record a
-// reverted task as done.
+// reset marks tasks incomplete again after a heal rung restored their
+// blocks, so later snapshots never record a reverted task as done.
 func (c *parallelCheckpointer[E]) reset(ids []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ids == nil {
-		for i := range c.done {
-			c.done[i] = false
-		}
-		return
-	}
 	for _, id := range ids {
 		c.done[id] = false
 	}
@@ -257,40 +198,25 @@ func SolveParallelCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], opt
 	}
 	// Stage-1 kernel selection is hoisted here — once per solve, never
 	// inside the per-block dispatch loops.
-	compute := computeMemoryBlockCBStep[E]
-	if !opts.NoPanelKernel {
-		mul, err := ResolveStage1[E](opts.Stage1, t)
-		if err != nil {
-			return kernel.Stats{}, err
-		}
-		compute = func(t *tri.Tiled[E], bi, bj int) kernel.Stats {
-			return computeMemoryBlock(t, bi, bj, mul)
-		}
+	mul, err := ResolveStage1[E](opts.Stage1, t)
+	if err != nil {
+		return kernel.Stats{}, err
 	}
-	perWorker := make([]paddedStats, opts.Workers)
-
+	x := newExecutor[E](graph, residentStore[E]{t}, mul, opts.Workers)
 	if opts.MutexPool {
 		// Ablation baseline: the mutex-guarded seed pool, without the
 		// fault-tolerance plumbing.
-		err = sched.RunPoolLocked(graph, opts.Workers, func(worker int, task sched.Task) error {
-			for _, mb := range task.MemoryBlockOrder() {
-				perWorker[worker].Stats.Add(compute(t, mb[0], mb[1]))
-			}
-			return nil
-		})
-		var st kernel.Stats
-		for i := range perWorker {
-			st.Add(perWorker[i].Stats)
-		}
-		return st, err
+		err = sched.RunPoolLocked(graph, opts.Workers, x.exec)
+		return x.total(), err
 	}
+	x.retry, x.inject = opts.Retry, opts.Inject
 
-	var h *healer[E]
+	policy := healPolicy{detect: passErr}
 	if opts.Seal || opts.Heal || opts.AuditEvery > 0 {
-		h = newHealer(graph, t, opts.Inject, opts.AuditEvery, opts.HealStats, opts.Completed)
+		x.seal = newSealer(graph, t, opts.Inject, opts.AuditEvery, opts.HealStats, opts.Completed)
+		policy = x.seal.policy(opts.Heal, opts.HealAttempts)
 	}
 
-	poolOpts := sched.PoolRunOptions{Completed: opts.Completed}
 	var ck *parallelCheckpointer[E]
 	if opts.CheckpointPath != "" {
 		every := opts.CheckpointEvery
@@ -311,124 +237,14 @@ func SolveParallelCtx[E semiring.Elem](ctx context.Context, t *tri.Tiled[E], opt
 			t:     t,
 			done:  done,
 		}
-		poolOpts.OnTaskDone = ck.taskDone
-	}
-	if h != nil {
-		prev := poolOpts.OnTaskDone
-		poolOpts.OnTaskDone = func(task sched.Task) {
-			if prev != nil {
-				prev(task)
-			}
-			h.taskDone(task)
-		}
+		x.onDone = ck.taskDone
+		policy.reset = ck.reset
 	}
 
-	// attemptBase offsets injector attempt numbers per heal round so a
-	// recomputed task re-rolls fresh fault plans instead of replaying the
-	// round that corrupted it. Written only between runs; each run's
-	// worker goroutines are created after the write.
-	attemptBase := 0
-	exec := func(worker int, task sched.Task) error {
-		if h != nil {
-			if aerr := h.maybeAudit(); aerr != nil {
-				return aerr
-			}
-		}
-		// Stats accumulate locally and merge only on success, so a
-		// retried attempt never double-counts work.
-		var local kernel.Stats
-		sealAttempt := attemptBase
-		attempts, err := opts.Retry.Do(func(attempt int) error {
-			local = kernel.Stats{}
-			sealAttempt = attemptBase + attempt
-			if err := opts.Inject.Apply(task.ID, attemptBase+attempt); err != nil {
-				return err
-			}
-			for _, mb := range task.MemoryBlockOrder() {
-				local.Add(compute(t, mb[0], mb[1]))
-			}
-			return nil
-		})
-		if err != nil {
-			return &resilience.TaskError{
-				TaskID: task.ID, Bi: task.Bi, Bj: task.Bj,
-				Worker: worker, Attempts: attempts, Err: err,
-			}
-		}
-		if h != nil {
-			h.sealTask(task, sealAttempt)
-		}
-		perWorker[worker].Stats.Add(local)
-		return nil
-	}
-
-	retrySlots := opts.Retry.MaxRetries + 1
-	runOnce := func(completed []bool, runIdx int) error {
-		attemptBase = runIdx * retrySlots
-		po := poolOpts
-		po.Completed = completed
-		return sched.RunPoolCtx(ctx, graph, opts.Workers, po, exec)
-	}
-
-	if h == nil {
-		err = runOnce(opts.Completed, 0)
-	} else {
-		// The escalation ladder: detect (audit) → heal (poisoned-cone
-		// recompute, bounded rounds) → pristine-restart fallback → typed
-		// CorruptionError. The post-run audit always runs, so a solve
-		// with sealing on can fail silently corrupted but never return
-		// silently wrong.
-		healAttempts := 0
-		if opts.Heal {
-			healAttempts = opts.HealAttempts
-			if healAttempts <= 0 {
-				healAttempts = DefaultHealAttempts
-			}
-		}
-		completed := opts.Completed
-		rounds, fellBack := 0, false
-		for runIdx := 0; ; runIdx++ {
-			err = runOnce(completed, runIdx)
-			var cerr *resilience.CorruptionError
-			if err != nil && !errors.As(err, &cerr) {
-				break // non-corruption failure: surface as before
-			}
-			bad := h.audit()
-			if len(bad) == 0 {
-				// Either clean, or an online audit aborted the run but
-				// the damage is gone (cannot happen for sealed blocks,
-				// which are immutable; kept for safety).
-				break
-			}
-			h.stats.CorruptBlocks += len(bad)
-			if rounds < healAttempts {
-				rounds++
-				cone := h.heal(bad)
-				if ck != nil {
-					ck.reset(cone)
-				}
-				completed = h.completedBitmap()
-				err = nil
-				continue
-			}
-			if opts.Heal && !fellBack {
-				fellBack = true
-				h.restoreAll()
-				if ck != nil {
-					ck.reset(nil)
-				}
-				completed = nil
-				err = nil
-				continue
-			}
-			err = h.corruption(bad, rounds)
-			break
-		}
-	}
-	var st kernel.Stats
-	for i := range perWorker {
-		st.Add(perWorker[i].Stats)
-	}
+	err = x.solve(func(round int, completed []bool) error {
+		return x.run(ctx, round, completed)
+	}, opts.Completed, policy)
+	st := x.total()
 	if ck != nil {
 		if ckErr := ck.final(err == nil); ckErr != nil && err == nil {
 			err = fmt.Errorf("npdp: solve succeeded but checkpointing failed: %w", ckErr)

@@ -33,6 +33,7 @@ func SolveWavefrontBarrier[E semiring.Elem](t *tri.Tiled[E], workers int) (kerne
 	if err != nil {
 		return kernel.Stats{}, err
 	}
+	store := residentStore[E]{t}
 	perWorker := make([]kernel.Stats, workers)
 	for wave := 0; wave < m; wave++ {
 		// Blocks (i, i+wave) for i = 0..m-1-wave, strided across workers.
@@ -43,7 +44,8 @@ func SolveWavefrontBarrier[E semiring.Elem](t *tri.Tiled[E], workers int) (kerne
 			go func(worker int) {
 				defer wg.Done()
 				for idx := worker; idx < count; idx += workers {
-					perWorker[worker].Add(computeMemoryBlock(t, idx, idx+wave, mul))
+					st, _ := execBlock[E](store, idx, idx+wave, mul) // a resident store never fails
+					perWorker[worker].Add(st)
 				}
 			}(w)
 		}

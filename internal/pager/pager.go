@@ -168,9 +168,12 @@ const (
 	minFrames          = 4
 	defaultCommitEvery = 16
 	prefetchSlots      = 2 // the cellsim double-buffer depth
-	pageInRetries      = 1 // re-reads before declaring a page corrupt
-	regionPristine     = 0
-	regionFinal        = 1
+	// pageInRetries is the re-reads before declaring a page corrupt: a
+	// pristine page or one read by Materialize has nothing left to heal
+	// from, so a transient read fault earns several.
+	pageInRetries  = 3
+	regionPristine = 0
+	regionFinal    = 1
 )
 
 // Create builds a fresh spill file at path from the source table and
@@ -586,7 +589,7 @@ func (p *Pager[E]) spillLocked(id int, cells []E) bool {
 // readBlockLocked reads block id's authoritative version from disk —
 // the final slot when one is trusted, the pristine slot otherwise —
 // verifying the CRC trailer (and, for final blocks, the recorded seal)
-// with one retry. Caller holds p.mu.
+// with pageInRetries re-reads. Caller holds p.mu.
 func (p *Pager[E]) readBlockLocked(id, bi, bj int) ([]E, error) {
 	region, want := regionPristine, uint32(0)
 	sealed := false
@@ -694,6 +697,37 @@ func (p *Pager[E]) Materialize(dst *tri.Tiled[E]) error {
 				return err
 			}
 			copy(dst.Block(bi, bj), cells)
+		}
+	}
+	return nil
+}
+
+// Verify re-reads every final block whose only copy is its spill slot
+// and checks it against its seal, without installing a frame. A slot
+// that tore on its one write and was never paged in again otherwise
+// surfaces first in Materialize, after the engine could heal it; Verify
+// reports it as *ErrPageCorrupt while it still can. In-flight
+// prefetches land first: one could still evict, and spill, a block.
+func (p *Pager[E]) Verify() error {
+	for i := 0; i < prefetchSlots; i++ {
+		p.prefetch <- struct{}{}
+	}
+	defer func() {
+		for i := 0; i < prefetchSlots; i++ {
+			<-p.prefetch
+		}
+	}()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for bi := 0; bi < p.m; bi++ {
+		for bj := bi; bj < p.m; bj++ {
+			id := p.blockID(bi, bj)
+			if _, resident := p.frames[id]; resident || !p.final[id] || !p.spilled[id] {
+				continue
+			}
+			if _, err := p.readBlockLocked(id, bi, bj); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

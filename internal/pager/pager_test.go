@@ -177,6 +177,37 @@ func TestPagerTornWriteDetectedAndDemotable(t *testing.T) {
 	}
 }
 
+// TestPagerPristineReadSurvivesRepeatedFlips: a pristine page has no
+// earlier version to heal from, so two transient read flips in a row
+// must cost re-reads, not the solve.
+func TestPagerPristineReadSurvivesRepeatedFlips(t *testing.T) {
+	faults := func(seed int64) *DiskFaults {
+		return &DiskFaults{Rate: 0.5, Seed: seed, Kinds: []DiskFaultKind{DiskFaultFlip}}
+	}
+	// The first seed whose first three read operations draw flip, flip,
+	// then nothing.
+	seed := int64(0)
+	for ; ; seed++ {
+		f := faults(seed)
+		if f.plan(readFaultDomain) == DiskFaultFlip && f.plan(readFaultDomain) == DiskFaultFlip &&
+			f.plan(readFaultDomain) == DiskFaultNone {
+			break
+		}
+	}
+	src := testTable(40, 8)
+	p := newTestPager(t, src, Options{Frames: 4, Faults: faults(seed)})
+	cells, err := p.Acquire(0, 0)
+	if err != nil {
+		t.Fatalf("pristine page-in after two transient flips: %v", err)
+	}
+	if !equalCells(cells, src.Block(0, 0)) {
+		t.Fatal("pristine page-in returned flipped content")
+	}
+	if st := p.Stats(); st.FaultedPages != 2 || st.PageHeals != 1 {
+		t.Errorf("FaultedPages = %d, PageHeals = %d; want 2 and 1", st.FaultedPages, st.PageHeals)
+	}
+}
+
 func TestPagerENOSPCDegradesToResident(t *testing.T) {
 	src := testTable(40, 8)
 	p := newTestPager(t, src, Options{

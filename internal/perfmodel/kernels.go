@@ -191,7 +191,7 @@ func PickCount() int64 { return pickCount.Load() }
 //   - float32 shapes take the vector panel when the ISA is present and
 //     calibration agrees it is cheapest (it always is where supported).
 //   - Everything else takes the Go panel; KernelScalar survives only
-//     as an explicit override (ablations, NoPanelKernel).
+//     as an explicit override (the CB-step ablations).
 func PickKernel(shape Shape, arch, isa string) Kernel {
 	pickCount.Add(1)
 	cal := ActiveCalibration(arch, isa)

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 	"sync/atomic"
+	"unsafe"
 
 	"cellnpdp/internal/semiring"
 	"cellnpdp/internal/tableio"
@@ -30,17 +32,36 @@ var sealCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // BlockCRC digests a memory block's cells into the CRC32C seal value:
 // each cell serialized little-endian at its element width, exactly the
-// byte stream the tableio and checkpoint codecs use.
+// byte stream the tableio and checkpoint codecs use. The digest is one
+// crc32.Update over the whole block: on a little-endian host the cells'
+// memory already is that byte stream, so it is hashed in place.
 func BlockCRC[E semiring.Elem](cells []E) uint32 {
-	h := crc32.New(sealCastagnoli)
-	var e E
-	width := tableio.ElemWidth(e)
-	buf := make([]byte, 8)
-	for _, v := range cells {
-		tableio.PutElem(buf, v)
-		h.Write(buf[:width])
+	if !hostLittleEndian {
+		return crc32.Checksum(leBytes(cells), sealCastagnoli)
 	}
-	return h.Sum32()
+	var e E
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(cells))), len(cells)*int(unsafe.Sizeof(e)))
+	return crc32.Checksum(raw, sealCastagnoli)
+}
+
+// hostLittleEndian reports whether the host stores numbers
+// little-endian, so a block's memory is its seal byte stream.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// leBytes serializes cells little-endian at their element width — the
+// seal byte stream built explicitly, for big-endian hosts.
+func leBytes[E semiring.Elem](cells []E) []byte {
+	var e E
+	width := int(unsafe.Sizeof(e))
+	buf := make([]byte, len(cells)*width)
+	for i, v := range cells {
+		if width == 4 {
+			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(float32(v)))
+		} else {
+			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(float64(v)))
+		}
+	}
+	return buf
 }
 
 // CorruptBit flips one bit of one cell, both chosen deterministically

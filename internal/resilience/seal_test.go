@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
+
+	"cellnpdp/internal/semiring"
+	"cellnpdp/internal/tableio"
 )
 
 // TestBlockCRCMatchesByteStream pins the seal digest to the serialized
@@ -24,6 +28,69 @@ func TestBlockCRCMatchesByteStream(t *testing.T) {
 	}
 	if BlockCRC([]float64{1, 2.5}) == BlockCRC([]float32{1, 2.5}) {
 		t.Fatal("float32 and float64 blocks digest identically")
+	}
+}
+
+// perElementCRC is the seal digest written the long way — one hash
+// write per cell through the tableio codec — which BlockCRC's
+// single-pass form must reproduce bit for bit, so seal, spill and wire
+// records stay compatible.
+func perElementCRC[E semiring.Elem](cells []E) uint32 {
+	h := crc32.New(sealCastagnoli)
+	var e E
+	width := tableio.ElemWidth(e)
+	buf := make([]byte, 8)
+	for _, v := range cells {
+		tableio.PutElem(buf, v)
+		h.Write(buf[:width])
+	}
+	return h.Sum32()
+}
+
+// TestBlockCRCPinnedToPerElementDigest pins BlockCRC, and the explicit
+// little-endian path big-endian hosts take, to the per-element digest:
+// f32 and f64 blocks, empty blocks, ±0, ±Inf and NaN payloads.
+func TestBlockCRCPinnedToPerElementDigest(t *testing.T) {
+	f32 := []float32{
+		0, float32(math.Copysign(0, -1)), 1, -2.5, 1e30, 3.4e38,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffbfffff),
+		math.Float32frombits(0x00000001),
+	}
+	f64 := []float64{
+		0, math.Copysign(0, -1), 1, -2.5, 1e300, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff7ffffffffffff),
+		math.Float64frombits(1),
+	}
+	for n := 0; n <= len(f32); n++ {
+		want := perElementCRC(f32[:n])
+		if got := BlockCRC(f32[:n]); got != want {
+			t.Errorf("f32[:%d]: BlockCRC %08x, per-element %08x", n, got, want)
+		}
+		if got := crc32.Checksum(leBytes(f32[:n]), sealCastagnoli); got != want {
+			t.Errorf("f32[:%d]: little-endian stream %08x, per-element %08x", n, got, want)
+		}
+	}
+	for n := 0; n <= len(f64); n++ {
+		want := perElementCRC(f64[:n])
+		if got := BlockCRC(f64[:n]); got != want {
+			t.Errorf("f64[:%d]: BlockCRC %08x, per-element %08x", n, got, want)
+		}
+		if got := crc32.Checksum(leBytes(f64[:n]), sealCastagnoli); got != want {
+			t.Errorf("f64[:%d]: little-endian stream %08x, per-element %08x", n, got, want)
+		}
+	}
+	if got, want := BlockCRC[float32](nil), perElementCRC[float32](nil); got != want {
+		t.Errorf("nil block: BlockCRC %08x, per-element %08x", got, want)
+	}
+	// A whole 88×88 block of mixed values, as the engines seal it.
+	block := make([]float32, 88*88)
+	for i := range block {
+		block[i] = f32[i%len(f32)] * float32(i%7+1)
+	}
+	if got, want := BlockCRC(block), perElementCRC(block); got != want {
+		t.Errorf("88×88 block: BlockCRC %08x, per-element %08x", got, want)
 	}
 }
 

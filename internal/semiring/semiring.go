@@ -21,27 +21,6 @@ func Inf[E Elem]() E {
 	return E(1e30)
 }
 
-// MinPlus is the tropical semiring used by the paper's kernel:
-// Combine(a,b) ⊕-accumulates a ⊗ b = a + b under min.
-type MinPlus[E Elem] struct{}
-
-// Zero returns the ⊕ identity (infinity).
-func (MinPlus[E]) Zero() E { return Inf[E]() }
-
-// One returns the ⊗ identity (0).
-func (MinPlus[E]) One() E { return 0 }
-
-// Add is ⊕ (min).
-func (MinPlus[E]) Add(a, b E) E {
-	if b < a {
-		return b
-	}
-	return a
-}
-
-// Mul is ⊗ (+).
-func (MinPlus[E]) Mul(a, b E) E { return a + b }
-
 // Min returns the smaller of a and b. It is the scalar form of the
 // compare+select instruction pair of the SPE kernel.
 func Min[E Elem](a, b E) E {

@@ -72,6 +72,40 @@ func TestPagedSolveHealsInjectedTornWrites(t *testing.T) {
 	}
 }
 
+// TestPagedSolveHealsTornFinalSlotsOnResume resumes from a spill whose
+// committed final slots all tore on their one write: the budget holds
+// the whole table, so the first run spills nothing until Close flushes
+// every block through torn writes. The resumed run runs no task, so
+// only re-reading the slots it trusts finds them torn; it must
+// recompute them, not fail in materialization.
+func TestPagedSolveHealsTornFinalSlotsOnResume(t *testing.T) {
+	const n = 64
+	ref := buildRandom(t, n, 5)
+	if _, err := Solve(ref, Options{Engine: Serial}); err != nil {
+		t.Fatal(err)
+	}
+	spill := filepath.Join(t.TempDir(), "solve.npsp")
+	opts := Options{Engine: Tiled, BlockBytes: 1024, MemoryBudget: 1 << 20, SpillPath: spill}
+	first := buildRandom(t, n, 5)
+	torn := opts
+	torn.DiskFaultRate, torn.DiskFaultKinds = 1, "torn"
+	if _, err := Solve(first, torn); err != nil {
+		t.Fatal(err)
+	}
+	assertTablesEqual(t, ref, first, "torn-close run")
+	second := buildRandom(t, n, 5)
+	resume := opts
+	resume.ResumeSpill = true
+	res, err := Solve(second, resume)
+	if err != nil {
+		t.Fatalf("resume over torn final slots: %v", err)
+	}
+	assertTablesEqual(t, ref, second, "resumed run")
+	if res.PagerStats.PageHeals == 0 {
+		t.Errorf("torn final slots healed without a page heal: %+v", res.PagerStats)
+	}
+}
+
 func TestPagedSolveResumesFromSpill(t *testing.T) {
 	const n = 128
 	ref := buildRandom(t, n, 4)

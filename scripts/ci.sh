@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide verification gate: formatting, vet, pinned staticcheck, the
 # npdplint invariant suite plus its hot-path codegen regression gate,
-# the full test suite under the race detector, short fuzz smokes of the
+# the full test suite under the race detector, the nested ledgerbench
+# module's vet and tests, short fuzz smokes of the
 # checkpoint and seal codecs, and smoke fault-injection solves proving
 # the resilience layer end to end: 5% loud faults healed through
 # retries, and 5% silent corruption caught by the block seals and
@@ -97,6 +98,13 @@ echo "== go test -race ./..."
 # detector that legitimately exceeds go test's default 10m per-package
 # timeout, so set an explicit generous one.
 go test -race -timeout 30m ./...
+
+echo "== ledgerbench module (vet + tests)"
+# ledgerbench/ is a nested module, so the ./... runs above never compile
+# it: without this step a change to the engine entry points it drives
+# (npdp.ComputeTask, npdp.SolvePagedCtx, npdp.ResolveStage1,
+# sched.RunPoolCtx) could break the benchmark with no check failing.
+(cd ledgerbench && go vet . && go test .)
 
 echo "== go test -race (forced pure-Go kernels: CELLNPDP_FORCE_SCALAR=1, GOAMD64=v1)"
 # The vector dispatch has two halves: the assembly fast path (covered
